@@ -10,16 +10,17 @@ the paper's topologies two ways:
   split unranking, searchsorted CCP mask-filters over the arena's
   connectivity columns, one ``cost_batch`` evaluation, scatter-min winners.
 
-Every run uses a fresh query (cold enumeration caches) and the ``C_out``
-cost model, whose ``cost_batch`` is a true array kernel; the PostgreSQL-like
-model stays on the scalar costing fallback by design (see
-``src/repro/cost/base.py``) and would measure that fallback instead of the
-kernels.  Plans and counters are asserted identical per config — the
-backends must agree bit-for-bit before a timing is recorded.
+Every run uses a fresh query (cold enumeration caches).  The sweep runs
+under the ``C_out`` cost model, plus Postgres columns for clique n=12 and
+MusicBrainz n=18 under the default PostgreSQL-like model — the one every
+workload generator uses.  Both models cost a level with a real array kernel
+(``cost_batch``).  Plans and counters are asserted identical per config —
+the backends must agree bit-for-bit before a timing is recorded.
 
-Medians are written to ``BENCH_vectorized.json`` at the repository root; the
-acceptance bar is a >= 3x median speedup on clique n>=14 and MusicBrainz
-n>=18 level sweeps.  A lighter ``perf_smoke`` guard runs in tier-1
+Medians are written to ``BENCH_vectorized.json`` at the repository root,
+with the machine shape; the acceptance bar is a >= 3x median speedup on
+clique n>=14 and MusicBrainz n>=18 level sweeps under ``C_out``, and >= 5x
+on clique n=12 under Postgres.  A lighter ``perf_smoke`` guard runs in tier-1
 (``tests/test_exec_backends.py``).
 
 Run standalone (writes the JSON):
@@ -34,11 +35,16 @@ or through pytest (same sweep, same JSON, plus assertions):
 from __future__ import annotations
 
 import json
+import os
+import platform
 import statistics
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.cost.cout import CoutCostModel
+from repro.cost.postgres import PostgresCostModel
 from repro.optimizers import DPSub, MPDP
 from repro.workloads import clique_query, musicbrainz_query, snowflake_query, star_query
 
@@ -46,22 +52,29 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_vectorized.json"
 
 TOPOLOGIES = {
-    "star": lambda n: star_query(n, seed=0, cost_model=CoutCostModel()),
-    "snowflake": lambda n: snowflake_query(n, seed=0, cost_model=CoutCostModel()),
-    "clique": lambda n: clique_query(n, seed=0, cost_model=CoutCostModel()),
-    "musicbrainz": lambda n: musicbrainz_query(n, seed=0, cost_model=CoutCostModel()),
+    "star": star_query,
+    "snowflake": snowflake_query,
+    "clique": clique_query,
+    "musicbrainz": musicbrainz_query,
 }
 
-#: (topology, algorithm, sizes, repeats) sweep grid.  DPsub walks the whole
-#: powerset per set, so it stops at its practical ceiling; the clique n=14
-#: scalar MPDP run costs ~20s, hence the single repeat.
+COST_MODELS = {
+    "cout": CoutCostModel,
+    "postgres": PostgresCostModel,
+}
+
+#: (topology, algorithm, sizes, repeats, cost model) sweep grid.  DPsub
+#: walks the whole powerset per set, so it stops at its practical ceiling;
+#: the clique n=14 scalar MPDP run costs ~20s, hence the single repeat.
 CONFIGS = [
-    ("star", "MPDP", [12, 16], 3),
-    ("snowflake", "MPDP", [12, 16], 3),
-    ("clique", "MPDP", [12, 14], 1),
-    ("clique", "DPsub", [12, 14], 1),
-    ("musicbrainz", "MPDP", [14, 18, 20], 2),
-    ("musicbrainz", "DPsub", [14], 2),
+    ("star", "MPDP", [12, 16], 3, "cout"),
+    ("snowflake", "MPDP", [12, 16], 3, "cout"),
+    ("clique", "MPDP", [12, 14], 1, "cout"),
+    ("clique", "DPsub", [12, 14], 1, "cout"),
+    ("musicbrainz", "MPDP", [14, 18, 20], 2, "cout"),
+    ("musicbrainz", "DPsub", [14], 2, "cout"),
+    ("clique", "MPDP", [12], 1, "postgres"),
+    ("musicbrainz", "MPDP", [18], 2, "postgres"),
 ]
 
 ALGORITHMS = {
@@ -70,10 +83,11 @@ ALGORITHMS = {
 }
 
 
-def _run_once(topology: str, algorithm: str, n: int, backend: str):
+def _run_once(topology: str, algorithm: str, n: int, backend: str,
+              cost_model: str):
     # Fresh query per run: timings must cover cold enumeration-context and
     # arena state, not cache warm-up from the other backend's run.
-    query = TOPOLOGIES[topology](n)
+    query = TOPOLOGIES[topology](n, seed=0, cost_model=COST_MODELS[cost_model]())
     optimizer = ALGORITHMS[algorithm](backend=backend)
     start = time.perf_counter()
     result = optimizer.optimize(query)
@@ -81,26 +95,29 @@ def _run_once(topology: str, algorithm: str, n: int, backend: str):
     return elapsed, result
 
 
-def run_config(topology: str, algorithm: str, n: int, repeats: int) -> dict:
+def run_config(topology: str, algorithm: str, n: int, repeats: int,
+               cost_model: str) -> dict:
     scalar_times, vectorized_times = [], []
     for _ in range(repeats):
-        scalar_elapsed, scalar_result = _run_once(topology, algorithm, n, "scalar")
+        scalar_elapsed, scalar_result = _run_once(
+            topology, algorithm, n, "scalar", cost_model)
         scalar_times.append(scalar_elapsed)
         vectorized_elapsed, vectorized_result = _run_once(
-            topology, algorithm, n, "vectorized")
+            topology, algorithm, n, "vectorized", cost_model)
         vectorized_times.append(vectorized_elapsed)
         if (scalar_result.cost != vectorized_result.cost
                 or scalar_result.plan != vectorized_result.plan
                 or scalar_result.stats.level_pairs != vectorized_result.stats.level_pairs
                 or scalar_result.stats.level_ccp != vectorized_result.stats.level_ccp):
             raise AssertionError(
-                f"{topology}/{algorithm} n={n}: backends disagree — "
-                "bit-identity contract broken")
+                f"{topology}/{algorithm} n={n} ({cost_model}): backends "
+                "disagree — bit-identity contract broken")
     scalar_median = statistics.median(scalar_times)
     vectorized_median = statistics.median(vectorized_times)
     return {
         "topology": topology,
         "algorithm": algorithm,
+        "cost_model": cost_model,
         "n": n,
         "repeats": repeats,
         "evaluated_pairs": scalar_result.stats.evaluated_pairs,
@@ -114,13 +131,14 @@ def run_config(topology: str, algorithm: str, n: int, repeats: int) -> dict:
 
 def run_sweep(verbose: bool = True) -> dict:
     rows = []
-    for topology, algorithm, sizes, repeats in CONFIGS:
+    for topology, algorithm, sizes, repeats, cost_model in CONFIGS:
         for n in sizes:
-            row = run_config(topology, algorithm, n, repeats)
+            row = run_config(topology, algorithm, n, repeats, cost_model)
             rows.append(row)
             if verbose:
                 print(
-                    f"{topology:>12s} {algorithm:>5s} n={n:>2d}: "
+                    f"{topology:>12s} {algorithm:>5s} {cost_model:>8s} "
+                    f"n={n:>2d}: "
                     f"scalar={row['scalar_median_s'] * 1e3:9.1f}ms "
                     f"vectorized={row['vectorized_median_s'] * 1e3:8.1f}ms "
                     f"speedup={row['speedup']:5.1f}x "
@@ -129,8 +147,15 @@ def run_sweep(verbose: bool = True) -> dict:
     report = {
         "benchmark": "vectorized_kernels",
         "description": "full optimizations, scalar loops vs batched numpy "
-                       "level kernels under C_out (medians in seconds; "
-                       "backends asserted bit-identical per config)",
+                       "level kernels under C_out and the default Postgres "
+                       "model (medians in seconds; backends asserted "
+                       "bit-identical per config)",
+        "machine": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "configs": rows,
     }
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -139,10 +164,12 @@ def run_sweep(verbose: bool = True) -> dict:
     return report
 
 
-def _config(report: dict, topology: str, algorithm: str, n: int) -> dict:
+def _config(report: dict, topology: str, algorithm: str, n: int,
+            cost_model: str = "cout") -> dict:
     return next(c for c in report["configs"]
                 if c["topology"] == topology and c["n"] == n
-                and c["algorithm"] == algorithm)
+                and c["algorithm"] == algorithm
+                and c["cost_model"] == cost_model)
 
 
 def test_vectorized_kernel_speedup(benchmark):
@@ -152,6 +179,8 @@ def test_vectorized_kernel_speedup(benchmark):
     assert _config(report, "clique", "MPDP", 14)["speedup"] >= 3.0
     assert _config(report, "musicbrainz", "MPDP", 18)["speedup"] >= 3.0
     assert _config(report, "musicbrainz", "MPDP", 20)["speedup"] >= 3.0
+    # The default cost model's array kernel: >= 5x on the dense case.
+    assert _config(report, "clique", "MPDP", 12, "postgres")["speedup"] >= 5.0
     for config in report["configs"]:
         assert config["evaluated_pairs"] > 0
 

@@ -14,10 +14,12 @@ needs to cost a whole batch of candidate pairs without materialising a
   the children's ``(rows, cost)`` statistics.  The default routes through
   :meth:`join` with throwaway stub plans, so every model gets it for free.
 * :meth:`CostModel.cost_batch` — the array form.  The default is a scalar
-  fallback loop over :meth:`join_cost_from_stats` (this is the path the
-  PostgreSQL-like model takes); models whose arithmetic is expressible as
-  elementwise array operations override it — :class:`~repro.cost.cout.CoutCostModel`
-  does, with numpy.
+  fallback loop over :meth:`join_cost_from_stats`, for models without an
+  array kernel; both shipped models override it with numpy kernels
+  (:class:`~repro.cost.cout.CoutCostModel` and
+  :class:`~repro.cost.postgres.PostgresCostModel`), and their
+  :meth:`join_cost_from_stats` is the scalar oracle the kernels are tested
+  against.
 
 The hard contract, enforced by :class:`~repro.core.arena.PlanArena` during
 plan materialization, is **bit-identity**: for every pair,
@@ -104,11 +106,10 @@ class CostModel(ABC):
         bit-identical to calling :meth:`join` per pair.
 
         The default is the documented *scalar fallback*: a Python loop over
-        :meth:`join_cost_from_stats`.  Models with elementwise-expressible
-        arithmetic (``C_out``) override this with real array kernels; the
-        PostgreSQL-like model intentionally stays on the fallback because its
-        ``log2`` term is not guaranteed bit-identical between ``math`` and
-        numpy implementations.
+        :meth:`join_cost_from_stats`, for models without an array kernel.
+        Both shipped models override it with real array kernels; transcendental
+        terms stay on :mod:`math` there, because numpy's implementations are
+        not guaranteed to round the same way.
         """
         import numpy as np
 

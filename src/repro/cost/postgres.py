@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from ..core.plan import JoinMethod, Plan, join_plan, scan_plan
 from .base import CostModel
 
@@ -77,17 +79,89 @@ class PostgresCostModel(CostModel):
     def join_cost_from_stats(self, left_rows: float, left_cost: float,
                              right_rows: float, right_cost: float,
                              output_rows: float) -> float:
-        """Scalar batched-costing fallback: no ``Plan`` objects allocated.
+        """Scalar oracle for :meth:`cost_batch`: no ``Plan`` objects allocated.
 
         The formulas only read ``rows``/``cost`` from the operands, so a
         lightweight stats tuple feeds the exact code path ``join`` uses —
-        the costs are bit-identical by construction.  There is deliberately
-        no vectorized ``cost_batch`` override: the merge-join ``log2`` term
-        is not guaranteed to round identically in ``math`` and numpy.
+        the costs are bit-identical by construction.  The array kernel
+        :meth:`cost_batch` is tested lane-for-lane against this method.
         """
         left = _SideStats(left_rows, left_cost)
         right = _SideStats(right_rows, right_cost)
         return self._best_join(left, right, output_rows)[0]
+
+    def cost_batch(self, left_rows, left_costs, right_rows, right_costs,
+                   output_rows):
+        """Array kernel: the three operator costs elementwise, then the min.
+
+        Every lane performs :meth:`_best_join`'s IEEE-754 operations in the
+        same order, so each result is bit-identical to :meth:`join`'s cost
+        (the :class:`~repro.core.arena.PlanArena` contract).  The selection
+        keeps the scalar strict-``<`` scan from ``+inf`` in hash,
+        nested-loop, merge order, which also preserves its NaN behaviour.
+
+        The merge join's ``log2`` factor is the one transcendental term.
+        It is computed with :func:`math.log2` (numpy's ``log2`` may round
+        differently), once per distinct operand row count, and only on the
+        lanes where the merge join can win.  Every other lane is decided by
+        a lower bound: ``rows = m * 2**e`` with ``m`` in ``[0.5, 1)`` gives
+        ``log2(rows) >= e - 1`` exactly, and rounding is monotone, so a
+        merge cost built from ``max(1, e - 1)`` never exceeds the exact one.
+        Where that bound already exceeds the hash/nested-loop minimum, the
+        merge join loses and the minimum stands.
+        """
+        p = self.parameters
+        lr = np.asarray(left_rows, dtype=np.float64)
+        lc = np.asarray(left_costs, dtype=np.float64)
+        rr = np.asarray(right_rows, dtype=np.float64)
+        rc = np.asarray(right_costs, dtype=np.float64)
+        out = np.asarray(output_rows, dtype=np.float64)
+        n = len(lr)
+        op = p.cpu_operator_cost
+        startup = lc + rc
+        output_cost = out * p.cpu_tuple_cost
+        # Hash build side and nested-loop outer side: the smaller input,
+        # the right one when ``left.rows <= right.rows`` is false (NaN too).
+        left_smaller = lr <= rr
+        small = np.where(left_smaller, lr, rr)
+        large = np.where(left_smaller, rr, lr)
+
+        hash_cost = ((startup + small * (op + p.cpu_tuple_cost))
+                     + large * op) + output_cost
+        hash_cost = np.where(small > p.hash_spill_threshold,
+                             hash_cost * p.hash_spill_penalty, hash_cost)
+        nested_cost = (startup + small * (large * op)) + output_cost
+        best = np.full(n, np.inf)
+        for cost in (hash_cost, nested_cost):
+            best = np.where(cost < best, cost, best)
+
+        def merge_cost(lanes, left_factor, right_factor):
+            sort_cost = ((0.0 + (lr[lanes] * left_factor) * op)
+                         + (rr[lanes] * right_factor) * op)
+            return (((startup[lanes] + sort_cost) + (lr[lanes] + rr[lanes]) * op)
+                    + output_cost[lanes])
+
+        # ``max(rows, 2.0)``; the ``np.where`` forms keep Python ``max``'s
+        # NaN handling.
+        both = np.concatenate((lr, rr))
+        clamped = np.where(2.0 > both, 2.0, both)
+        if op >= 0.0:  # the bound is monotone only for a non-negative op
+            bound = np.maximum(np.frexp(clamped)[1] - 1, 1).astype(np.float64)
+            lanes = np.flatnonzero(
+                ~(merge_cost(slice(None), bound[:n], bound[n:]) > best))
+        else:
+            lanes = np.arange(n)
+        if len(lanes):
+            distinct, inverse = np.unique(
+                np.concatenate((clamped[lanes], clamped[n + lanes])),
+                return_inverse=True)
+            logs = np.array(list(map(math.log2, distinct.tolist())),
+                            dtype=np.float64)
+            factors = np.where(logs > 1.0, logs, 1.0)[inverse.reshape(-1)]
+            merge = merge_cost(lanes, factors[:len(lanes)],
+                               factors[len(lanes):])
+            best[lanes] = np.where(merge < best[lanes], merge, best[lanes])
+        return best
 
     def _best_join(self, left, right, output_rows: float):
         """Cheapest ``(cost, method)`` over the three physical operators."""

@@ -85,8 +85,9 @@ BACKEND_NAMES = ("scalar", "vectorized", "multicore", "auto")
 
 #: ``auto`` switches to the vectorized backend at this many relations: below
 #: it, per-level batches are too small for array setup to pay off and the
-#: scalar loops win.
-AUTO_VECTORIZE_MIN_RELATIONS = 12
+#: scalar loops win.  Measured under the default Postgres cost model, where
+#: sparse cyclic and acyclic queries break even at 10 (PERFORMANCE.md).
+AUTO_VECTORIZE_MIN_RELATIONS = 10
 
 #: ``auto`` escalates from vectorized to multicore workers at this many
 #: relations (and only when more than one CPU is usable): below it the whole

@@ -722,9 +722,10 @@ def _fallback_block_entries(snapshot: Snapshot, model,
                             adjacency: Sequence[int], targets_py: Sequence[int],
                             out_rows: np.ndarray, entries,
                             winners: "_RunningWinners") -> int:
-    """Scalar fallback for blocks too wide for the dense split matrix.
+    """Scalar split walk for blocks too wide for the dense split matrix.
 
-    Works entirely off the snapshot (membership probes stand in for
+    The valid pairs are costed with one ``cost_batch`` call.  Works
+    entirely off the snapshot (membership probes stand in for
     ``is_connected`` — the arena holds exactly the connected subsets of
     every smaller size — and :func:`_grow` for the lift), so worker
     processes run it without an :class:`EnumerationContext`.  Folds its
@@ -732,7 +733,8 @@ def _fallback_block_entries(snapshot: Snapshot, model,
     """
     ccp = 0
     tids: List[int] = []
-    costs: List[float] = []
+    left_indices: List[int] = []
+    right_indices: List[int] = []
     seqs: List[int] = []
     lefts: List[int] = []
     rights: List[int] = []
@@ -759,16 +761,21 @@ def _fallback_block_entries(snapshot: Snapshot, model,
                     "grow-lift produced an operand missing from the "
                     "arena; CCP lift invariant violated")
             tids.append(tid)
-            costs.append(model.join_cost_from_stats(
-                float(snapshot.rows[li]), float(snapshot.costs[li]),
-                float(snapshot.rows[ri]), float(snapshot.costs[ri]),
-                float(out_rows[tid])))
+            left_indices.append(li)
+            right_indices.append(ri)
             seqs.append(seq_base + rank)
             lefts.append(left)
             rights.append(right)
     if tids:
-        winners.merge(np.array(tids, dtype=np.int64),
-                      np.array(costs, dtype=np.float64),
+        tid_arr = np.array(tids, dtype=np.int64)
+        li_arr = np.array(left_indices, dtype=np.int64)
+        ri_arr = np.array(right_indices, dtype=np.int64)
+        winners.merge(tid_arr,
+                      model.cost_batch(snapshot.rows[li_arr],
+                                       snapshot.costs[li_arr],
+                                       snapshot.rows[ri_arr],
+                                       snapshot.costs[ri_arr],
+                                       out_rows[tid_arr]),
                       np.array(seqs, dtype=np.int64),
                       wb.pack(lefts, snapshot.words),
                       wb.pack(rights, snapshot.words))

@@ -13,6 +13,7 @@ GPU pipeline model now consumes.
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -307,6 +308,119 @@ class TestBatchedCostContract:
             assert model.join_cost_from_stats(
                 left.rows, left.cost, right.rows, right.cost, out_rows) == plan.cost
 
+    @staticmethod
+    def _assert_postgres_bitwise(model, left_rows, left_costs, right_rows,
+                                 right_costs, out_rows):
+        import numpy as np
+
+        columns = [np.asarray(column, dtype=np.float64) for column in
+                   (left_rows, left_costs, right_rows, right_costs, out_rows)]
+        with np.errstate(invalid="ignore"):  # NaN/inf lanes, as in Python
+            batched = model.cost_batch(*columns)
+        expected = np.array([model.join_cost_from_stats(*map(float, lane))
+                             for lane in zip(*columns)], dtype=np.float64)
+        assert batched.dtype == np.float64
+        assert batched.shape == expected.shape
+        mismatched = np.flatnonzero(
+            batched.view(np.int64) != expected.view(np.int64))
+        assert len(mismatched) == 0, [
+            tuple(float(column[i]) for column in columns)
+            for i in mismatched[:5]]
+
+    @staticmethod
+    def _operator_tie_lanes(model):
+        """Small-integer lanes where two join operators cost exactly the same."""
+        lanes = {"hash=nested": [], "hash=merge": [], "nested=merge": []}
+        for left in range(64):
+            for right in range(64):
+                for left_cost in (0.0, 0.75):
+                    stats = (SimpleNamespace(rows=float(left), cost=left_cost),
+                             SimpleNamespace(rows=float(right), cost=0.5))
+                    hash_cost = model._hash_join_cost(*stats, 3.0)
+                    nested = model._nested_loop_cost(*stats, 3.0)
+                    merge = model._merge_join_cost(*stats, 3.0)
+                    lane = (left, left_cost, right, 0.5, 3.0)
+                    if hash_cost == nested:
+                        lanes["hash=nested"].append(lane)
+                    if hash_cost == merge:
+                        lanes["hash=merge"].append(lane)
+                    if nested == merge:
+                        lanes["nested=merge"].append(lane)
+        return lanes
+
+    def test_postgres_cost_batch_bitwise_adversarial(self):
+        import numpy as np
+
+        from repro.cost.postgres import PostgresCostParameters
+
+        inf, nan = float("inf"), float("nan")
+        for model in (PostgresCostModel(), PostgresCostModel(PostgresCostParameters(
+                cpu_operator_cost=0.004, cpu_tuple_cost=0.0125,
+                hash_spill_threshold=5000.0, hash_spill_penalty=3.5))):
+            threshold = model.parameters.hash_spill_threshold
+            above = float(np.nextafter(threshold, inf))
+            lanes = [
+                # build-side ties: equal rows, different child costs
+                (1e4, 3.5, 1e4, 9.25, 2e4), (7.0, 0.0, 7.0, 1.0, 7.0),
+                # the spill threshold, on either side and on both
+                (threshold, 1.0, 2 * threshold, 1.0, 1e9),
+                (above, 1.0, 2 * threshold, 1.0, 1e9),
+                (2 * threshold, 1.0, above, 1.0, 1e9),
+                (above, 5.0, above, 5.0, 1.0),
+                # the log2 clamp: rows below, at and just above 2
+                (0.0, 0.0, 0.0, 0.0, 0.0), (0.5, 0.1, 1.0, 0.2, 0.5),
+                (1.999, 0.0, 2.0, 0.0, 4.0), (2.0, 0.0, 2.0000000000000004, 0.0, 4.0),
+                (-0.0, 0.0, 3.0, 1.0, 0.0),
+                # powers of two, where log2 is exact
+                (1024.0, 2.0, 2 ** 40, 3.0, 2 ** 50),
+                # non-finite statistics
+                (inf, 1.0, 10.0, 1.0, 10.0), (10.0, 1.0, inf, 1.0, inf),
+                (nan, 1.0, 10.0, 1.0, 10.0), (10.0, nan, 10.0, 1.0, 10.0),
+                (10.0, 1.0, 10.0, 1.0, nan), (nan, nan, nan, nan, nan),
+                (inf, inf, inf, inf, inf), (10.0, inf, 20.0, 1.0, 5.0),
+                # -0.0 hash cost ties +0.0 nested/merge costs: the scalar
+                # strict ``<`` keeps the first, visible in the sign bit
+                (-0.0, -0.0, -0.0, -0.0, -0.0),
+            ]
+            ties = self._operator_tie_lanes(model)
+            for kind, found in ties.items():
+                assert found, f"no exact {kind} cost tie in the search grid"
+                lanes.extend(found)
+            self._assert_postgres_bitwise(model, *zip(*lanes))
+            self._assert_postgres_bitwise(model, [], [], [], [], [])
+        # A negative operator cost turns off the kernel's merge-cost bound.
+        self._assert_postgres_bitwise(
+            PostgresCostModel(PostgresCostParameters(cpu_operator_cost=-0.0025)),
+            *zip(*lanes))
+        # Equal inputs of ``rows`` rows: merge minus hash join cost is
+        # ``rows * (2 * op * log2(rows) - tuple)``, a tie at log2(rows) =
+        # 19.5 here.  Just below it the merge join wins by less than the
+        # slack of the kernel's log-free bound, which must not skip it.
+        rows = np.linspace(0.7, 1.3, 6001) * 2 ** 19.5
+        ones = np.ones_like(rows)
+        self._assert_postgres_bitwise(
+            PostgresCostModel(PostgresCostParameters(
+                cpu_operator_cost=0.001, cpu_tuple_cost=0.039)),
+            rows, ones, rows, ones, rows)
+
+    def test_postgres_cost_batch_bitwise_random_sweep(self):
+        import numpy as np
+
+        model = PostgresCostModel()
+        rng = np.random.default_rng(20221)
+        lanes = 120_000
+        magnitude = 10.0 ** rng.integers(0, 13, lanes)
+        left_rows = np.floor(rng.random(lanes) * magnitude)
+        right_rows = np.where(rng.random(lanes) < 0.2, left_rows,
+                              np.floor(rng.random(lanes) * magnitude))
+        fractional = rng.random(lanes) < 0.25
+        left_rows[fractional] += rng.random(int(fractional.sum()))
+        left_costs = rng.random(lanes) * magnitude * 4
+        right_costs = rng.random(lanes) * magnitude * 4
+        out_rows = rng.random(lanes) * magnitude * rng.random(lanes) * 1e3
+        self._assert_postgres_bitwise(model, left_rows, left_costs,
+                                      right_rows, right_costs, out_rows)
+
     def test_default_cost_batch_uses_stub_plans(self):
         class MinimalModel(CoutCostModel):
             name = "minimal"
@@ -336,6 +450,62 @@ class TestBatchedCostContract:
         masks = [0b11, 0b111, 0b11]
         assert list(contracted.rows_batch(masks)) == \
             [contracted.rows(mask) for mask in masks]
+
+
+class TestNoScalarCostFallback:
+    """The array backends must cost Postgres pairs through ``cost_batch``.
+
+    ``join_cost_from_stats`` is the per-pair scalar oracle; a kernel that
+    reaches it has silently fallen back to a Python loop.
+    """
+
+    @staticmethod
+    def _count_stats_calls(monkeypatch):
+        calls = []
+        oracle = PostgresCostModel.join_cost_from_stats
+
+        def counting(self, *args):
+            calls.append(args)
+            return oracle(self, *args)
+
+        monkeypatch.setattr(PostgresCostModel, "join_cost_from_stats", counting)
+        return calls
+
+    def test_mpdp_clique11_array_backends(self, monkeypatch):
+        import repro.exec.multicore as mc
+
+        scalar = MPDP(backend="scalar").optimize(clique_query(11, seed=0))
+        calls = self._count_stats_calls(monkeypatch)
+        # Keep every multicore level in-process, where the counter sees it.
+        monkeypatch.setattr(mc, "MULTICORE_MIN_TARGETS", 1 << 62)
+        for optimizer in (MPDP(backend="vectorized"),
+                          MPDP(backend="multicore", workers=2)):
+            result = optimizer.optimize(clique_query(11, seed=0))
+            assert calls == [], optimizer.backend
+            assert_equivalent(scalar, result)
+
+    def test_wide_block_split_walk(self, monkeypatch):
+        """Blocks wider than the dense split matrix cost in one batch."""
+        import repro.exec.vectorized as vec
+
+        query_factory = lambda: clique_query(8, seed=3)  # noqa: E731
+        scalar = MPDP(backend="scalar").optimize(query_factory())
+        calls = self._count_stats_calls(monkeypatch)
+        batches = []
+        cost_batch = PostgresCostModel.cost_batch
+
+        def recording(self, *columns):
+            batches.append(len(columns[0]))
+            return cost_batch(self, *columns)
+
+        monkeypatch.setattr(PostgresCostModel, "cost_batch", recording)
+        monkeypatch.setattr(vec, "_MAX_DENSE_BITS", 4)
+        result = MPDP(backend="vectorized").optimize(query_factory())
+        assert calls == []
+        assert_equivalent(scalar, result)
+        # One batch per level: 2-4 through the dense matrix, 5-8 through
+        # the split walk.
+        assert len(batches) == 7
 
 
 class TestBlockOrderCoupling:
@@ -509,3 +679,14 @@ class TestVectorizedPerfSmoke:
         assert result.stats.evaluated_pairs == sum(
             result.stats.level_pairs.values())
         assert elapsed < 10.0
+
+    def test_postgres_clique11_vectorized_beats_scalar(self):
+        """The default cost model's array kernel keeps the batched levels
+        well ahead of the scalar loops (about 12x on a 2-CPU x86 box)."""
+        timings = {}
+        for backend in ("scalar", "vectorized"):
+            query = clique_query(11, seed=0)
+            start = time.perf_counter()
+            MPDP(backend=backend).optimize(query)
+            timings[backend] = time.perf_counter() - start
+        assert timings["scalar"] / timings["vectorized"] >= 3.0
