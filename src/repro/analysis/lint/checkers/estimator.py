@@ -1,8 +1,10 @@
 """``estimator-guard``: vectorized cardinality folds must check for overrides.
 
-PR 9's invariant: the vectorized log-space folds
-(``CardinalityEstimator._rows_fold``, ``QueryInfo._fold_steps_for_spec`` /
-``_log_fold_steps``, and ``lindp_merge``'s interval fold) reconstruct
+The invariant: the vectorized log-space folds
+(``CardinalityEstimator._rows_fold`` / ``_fold_masks`` and their shared
+``fold_log_terms`` / ``fold_packed_terms`` helpers,
+``QueryInfo._fold_steps_for_spec`` / ``_log_fold_steps``, and
+``lindp_merge``'s interval fold) reconstruct
 estimates from base cardinalities and edge selectivities — bit-identical to
 the *base* scalar path but blind to any ``rows()`` override such as
 ``PerturbedEstimator``.  Every fold entry point must therefore consult
@@ -34,6 +36,7 @@ __all__ = ["EstimatorGuardChecker", "FOLD_PRIMITIVES"]
 #: Methods/functions that perform the blind log-space fold.
 FOLD_PRIMITIVES = frozenset({
     "_rows_fold", "_fold_steps_for_spec", "_log_fold_steps",
+    "_fold_masks", "_log_terms", "fold_log_terms", "fold_packed_terms",
 })
 
 GUARD_NAME = "estimator_overrides_rows"

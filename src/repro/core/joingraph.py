@@ -102,6 +102,11 @@ class JoinGraph:
         #: (see :meth:`EnumerationContext.of`); dropped whenever an edge is
         #: added so derived connectivity state never goes stale.
         self._enum_context = None
+        #: Bumped on every edit of the edge set: a new edge or a merged
+        #: predicate.  State derived outside the graph (the cardinality
+        #: estimator's memo and log-term columns) compares it to notice
+        #: edits made after it was built.
+        self.edit_count = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -139,6 +144,7 @@ class JoinGraph:
             # adjacency (and hence the enumeration context) is unaffected, but
             # the edges_within cache holds the replaced JoinEdge objects.
             self._edges_within_cache.clear()
+            self.edit_count += 1
             return combined
         self._edge_index[key] = len(self._edges)
         self._edges.append(edge)
@@ -154,6 +160,7 @@ class JoinGraph:
             self._edges_within_cache.clear()
         self._incident_edges = None
         self._enum_context = None
+        self.edit_count += 1
 
     def close_equivalence_classes(self, equivalence_classes: Iterable[Iterable[int]],
                                   selectivity: float = 1.0) -> int:

@@ -25,7 +25,11 @@ from . import bitmapset as bms
 from .joingraph import JoinGraph
 from .plan import Plan
 from ..cost.base import CostModel
-from ..cost.cardinality import CardinalityEstimator, estimator_overrides_rows
+from ..cost.cardinality import (
+    CardinalityEstimator,
+    estimator_overrides_rows,
+    fold_packed_terms,
+)
 from ..cost.postgres import PostgresCostModel
 
 __all__ = ["QueryInfo"]
@@ -195,9 +199,10 @@ class QueryInfo:
         queries run a *vectorized log-space fold* (see
         :meth:`_log_fold_steps`): the root estimator's scalar path
         accumulates ``log10`` terms in a fixed order (root vertices
-        ascending, then root edges in graph order), and a lane-wise
-        ``np.where(selected, acc + term, acc)`` sweep over those same terms
-        performs the identical IEEE-754 addition sequence for every mask at
+        ascending, then root edges in graph order), and a zero-filled
+        sequential ``cumsum`` over those same terms
+        (:func:`~repro.cost.cardinality.fold_log_terms`) performs the
+        identical IEEE-754 addition sequence for every mask at
         once — bit-identical to :meth:`rows`, without the per-mask Python
         translation walk that used to dominate kernelized fragment DP time
         on 100-1000-relation queries.  The selectors are multi-word columns
@@ -242,14 +247,6 @@ class QueryInfo:
             if not keep.all():
                 values = values[keep]
                 selectors = selectors[keep]
-        n_steps = len(values)
-        value_list = values.tolist()
-        acc = np.zeros(len(mask_list), dtype=np.float64)
-        # Precompute the (masks, steps) selection matrix word-by-word (a
-        # handful of large array ops instead of one tiny ``.all`` reduction
-        # per step), then run the order-pinned accumulation over its
-        # columns.  Chunked over masks to bound the matrix size.
-        chunk = max(1, (1 << 22) // max(1, n_steps))
         # Words where every (surviving) selector is zero test trivially true
         # for every mask — skip them.  After the union filter above, a
         # fragment batch on a wide graph typically leaves one active word;
@@ -273,19 +270,7 @@ class QueryInfo:
             if wb.words_for(len(positions)) < len(active_words):
                 fold_selectors = wb.gather_bits(selectors, positions)
                 fold_packed = wb.gather_bits(packed, positions)
-                active_words = list(range(fold_selectors.shape[1]))
-        for start in range(0, len(mask_list), chunk):
-            rows = fold_packed[start:start + chunk]
-            selected = np.ones((len(rows), n_steps), dtype=bool)
-            for word in active_words:
-                sel_word = fold_selectors[:, word]
-                selected &= ((rows[:, word][:, None] & sel_word[None, :])
-                             == sel_word[None, :])
-            acc_rows = np.zeros(len(rows), dtype=np.float64)
-            for step in range(n_steps):
-                acc_rows = np.where(selected[:, step],
-                                    acc_rows + value_list[step], acc_rows)
-            acc[start:start + chunk] = acc_rows
+        acc = fold_packed_terms(fold_packed, fold_selectors, values)
         estimator = self.root.cardinality
         # Final exponentiation stays on Python's ``**`` (inside the
         # estimator's shared clamp helper) so the rounding is literally

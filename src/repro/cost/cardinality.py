@@ -12,7 +12,8 @@ workload in Table 2 "generates queries with selections so that different join
 orders would result in different costs").
 
 Estimates are memoised per relation set because every DP algorithm asks for
-the same sets over and over while evaluating alternative splits.
+the same sets over and over while evaluating alternative splits.  The memo
+is dropped when the graph's edges change (:attr:`JoinGraph.edit_count`).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = ["CardinalityEstimator", "estimator_overrides_rows"]
 def estimator_overrides_rows(estimator: "CardinalityEstimator") -> bool:
     """True when a subclass replaced :meth:`CardinalityEstimator.rows`.
 
-    The vectorized fold paths (:meth:`CardinalityEstimator.rows_batch` with a
-    remap spec, :meth:`repro.core.query.QueryInfo.rows_batch` on contracted
+    The vectorized fold paths (:meth:`CardinalityEstimator.rows_batch`,
+    :meth:`repro.core.query.QueryInfo.rows_batch` on contracted
     queries, :func:`repro.exec.heuristic_kernels.lindp_merge`'s interval fold)
     reconstruct estimates directly from base cardinalities and edge
     selectivities — bit-identical to the *base* scalar path, but blind to any
@@ -40,6 +41,61 @@ def estimator_overrides_rows(estimator: "CardinalityEstimator") -> bool:
     silently bypassed by a kernel backend.
     """
     return type(estimator).rows is not CardinalityEstimator.rows
+
+
+#: A fold chunk's ``(rows, steps)`` float64 term matrix holds at most this
+#: many terms (2 MB).
+_FOLD_CHUNK_FLOATS = 1 << 18
+
+
+def fold_chunk_rows(n_steps: int) -> int:
+    """Rows per chunk for a fold over ``n_steps`` terms."""
+    return max(1, _FOLD_CHUNK_FLOATS // max(1, n_steps))
+
+
+def fold_log_terms(selected, values):
+    """Per row, the scalar-order sum of the ``values`` it selects.
+
+    ``selected`` is a ``(rows, steps)`` bool matrix and ``values`` the
+    ``steps`` log10 terms in the order the scalar estimator adds them.
+    Unselected terms become ``+0.0`` and each row is summed by a
+    sequential ``cumsum`` (``add.accumulate`` never reorders, unlike the
+    pairwise ``np.sum``).  Adding ``+0.0`` leaves a partial sum unchanged
+    (and ``log10`` of a positive value is never ``-0.0``), so every row
+    gets exactly the IEEE-754 additions of the scalar loop over its own
+    terms, starting from ``0.0``.
+    """
+    import numpy as np
+
+    if selected.shape[1] == 0:
+        return np.zeros(len(selected), dtype=np.float64)
+    terms = np.where(selected, values, 0.0)
+    np.cumsum(terms, axis=1, out=terms)
+    return terms[:, -1]
+
+
+def fold_packed_terms(rows, selectors, values):
+    """:func:`fold_log_terms` for packed rows against packed step selectors.
+
+    Step ``j`` fires for a row when the row holds every bit of selector
+    ``j``; only words where some selector is nonzero are tested.  Chunked
+    over rows per :func:`fold_chunk_rows`.
+    """
+    import numpy as np
+
+    words = np.flatnonzero(selectors.any(axis=0)).tolist()
+    n_steps = len(values)
+    out = np.empty(len(rows), dtype=np.float64)
+    chunk = fold_chunk_rows(n_steps)
+    for start in range(0, len(rows), chunk):
+        block = rows[start:start + chunk]
+        selected = np.ones((len(block), n_steps), dtype=bool)
+        for word in words:
+            sel_word = selectors[:, word]
+            selected &= ((block[:, word][:, None] & sel_word[None, :])
+                         == sel_word[None, :])
+        out[start:start + chunk] = fold_log_terms(selected, values)
+    return out
 
 
 class CardinalityEstimator:
@@ -60,6 +116,11 @@ class CardinalityEstimator:
         #: keyed by the run's bit-remap spec (see
         #: :func:`repro.core.widebitmap.view_for`).
         self._fold_steps: Dict[tuple, tuple] = {}
+        #: The full-width fold's columns (see :meth:`_log_terms`).
+        self._log_columns: Optional[tuple] = None
+        #: ``graph.edit_count`` the three caches above were derived under;
+        #: a later graph edit drops them (see :meth:`invalidate`).
+        self._graph_edits = graph.edit_count
 
     def base_rows(self, relation: int) -> float:
         """Cardinality of a single base relation (after pushed-down selections)."""
@@ -92,6 +153,8 @@ class CardinalityEstimator:
         """
         if relations == 0:
             raise ValueError("cannot estimate cardinality of the empty set")
+        if self._graph_edits != self.graph.edit_count:
+            self.invalidate()
         cached = self._cache.get(relations)
         if cached is not None:
             return cached
@@ -140,15 +203,17 @@ class CardinalityEstimator:
     def rows_batch(self, masks, spec=None):
         """Estimates for a whole batch of relation sets, as a float64 array.
 
-        The batched entry point of the kernel backends: the batch is
-        deduplicated with numpy (DP levels ask for the same target set once
-        per candidate pair), each *distinct* set is estimated once, and the
-        results are gathered back.  Without a ``spec`` the per-set estimate
-        stays on the scalar log-space accumulation of :meth:`rows` —
-        IEEE-754 summation order is part of the bit-identity contract
-        between the scalar and vectorized backends, and it shares the same
-        memo, so a set estimated by either backend is a cache hit for the
-        other.
+        The batched entry point of the kernel backends and of GOO's
+        candidate refresh: the batch is deduplicated (DP levels ask for the
+        same target set once per candidate pair), each distinct set that
+        misses the memo is estimated once, and the results are gathered
+        back.  Misses are estimated by an exact vectorized fold of the
+        scalar log-space sum (:meth:`_fold_masks`): every set gets the
+        identical IEEE-754 addition sequence :meth:`rows` runs and is
+        finished through :meth:`from_log10`, and the results feed the
+        shared memo, so a set estimated by either path is a cache hit for
+        the other.  An estimator that overrides :meth:`rows` sees every
+        distinct set through it instead.
 
         ``masks`` is either a sequence of Python-int bitmaps or an
         already-packed ``(m, words)`` uint64 column
@@ -159,33 +224,107 @@ class CardinalityEstimator:
         then fold the log terms lane-wise in the compact layout
         (:meth:`_rows_fold`) instead of walking the memo per set, which is
         what keeps subset-scoped fragment runs on wide graphs free of
-        per-mask bigint work.  The fold performs the exact addition
-        sequence of :meth:`rows` per mask and finishes through
-        :meth:`from_log10`, so the memo and both entry points stay
-        bit-identical.
+        per-mask bigint work.
         """
         import numpy as np
 
         from ..core import widebitmap as wb
 
+        if self._graph_edits != self.graph.edit_count:
+            self.invalidate()
+        overridden = estimator_overrides_rows(self)
         if isinstance(masks, np.ndarray) and masks.ndim == 2:
-            packed = masks
+            _, first_index, inverse = np.unique(wb.sort_keys(masks),
+                                                return_index=True,
+                                                return_inverse=True)
+            distinct_rows = masks[first_index]
+            if (spec is not None and not isinstance(spec, int)
+                    and len(first_index) and not overridden):
+                return self._rows_fold(distinct_rows, spec)[inverse]
+            distinct = wb.unpack(distinct_rows, spec)
         else:
-            mask_list = [int(mask) for mask in masks]
-            packed = wb.pack(mask_list, wb.words_for(max(mask_list,
-                                                         default=0).bit_length()))
-            spec = None
-        keys = wb.sort_keys(packed)
-        _, first_index, inverse = np.unique(keys, return_index=True,
-                                            return_inverse=True)
-        if (spec is not None and not isinstance(spec, int)
-                and len(first_index) and not estimator_overrides_rows(self)):
-            estimates = self._rows_fold(packed[first_index], spec)
+            position: Dict[int, int] = {}
+            inverse = np.array([position.setdefault(int(mask), len(position))
+                                for mask in masks], dtype=np.intp)
+            distinct = list(position)
+        if overridden:
+            estimates = [self.rows(mask) for mask in distinct]
         else:
-            estimates = np.array(
-                [self.rows(mask) for mask in wb.unpack(packed[first_index])],
-                dtype=np.float64)
-        return estimates[inverse]
+            cache = self._cache
+            missing = [mask for mask in distinct if mask not in cache]
+            if missing:
+                self._fold_masks(missing)
+            estimates = [cache[mask] for mask in distinct]
+        return np.array(estimates, dtype=np.float64)[inverse]
+
+    def _log_terms(self):
+        """The full-width fold's columns, rebuilt after every graph edit.
+
+        ``(log10 base cardinality per vertex, log10 selectivity per edge in
+        graph order, edge left endpoints, edge right endpoints)`` — the
+        terms :meth:`rows` adds, as arrays.
+        """
+        cached = self._log_columns
+        if cached is None:
+            import numpy as np
+
+            edges = self.graph.edges
+            cached = (
+                np.array([math.log10(rows) for rows in self.base_cardinalities],
+                         dtype=np.float64),
+                np.array([math.log10(edge.selectivity) for edge in edges],
+                         dtype=np.float64),
+                np.array([edge.left for edge in edges], dtype=np.intp),
+                np.array([edge.right for edge in edges], dtype=np.intp))
+            self._log_columns = cached
+        return cached
+
+    def _fold_masks(self, masks) -> None:
+        """Vectorized :meth:`rows` over distinct full-width masks, into the memo.
+
+        The masks become a bit matrix, and each term of the scalar sum
+        takes its scalar position: every vertex's ``log10`` base
+        cardinality in ascending order, then every edge's ``log10``
+        selectivity in graph order, with ``+0.0`` where the vertex or edge
+        is not in the mask (:func:`fold_log_terms`).  The two-relation fast
+        path of :meth:`rows` adds the same sequence.  Columns outside the
+        batch's union can never fire and are dropped without reordering
+        the rest.
+        """
+        import numpy as np
+
+        if 0 in masks:
+            raise ValueError("cannot estimate cardinality of the empty set")
+        vertex_logs, edge_logs, edge_left, edge_right = self._log_terms()
+        n_bits = len(vertex_logs)
+        n_bytes = (n_bits + 7) // 8
+
+        def bit_matrix(chunk_masks):
+            raw = np.frombuffer(b"".join(mask.to_bytes(n_bytes, "little")
+                                         for mask in chunk_masks),
+                                dtype=np.uint8)
+            return np.unpackbits(raw.reshape(len(chunk_masks), n_bytes),
+                                 axis=1, count=n_bits,
+                                 bitorder="little").view(bool)
+
+        union_mask = 0
+        for mask in masks:
+            union_mask |= mask
+        union = bit_matrix([union_mask])[0]
+        vertices = np.flatnonzero(union)
+        edges = np.flatnonzero(union[edge_left] & union[edge_right])
+        left, right = edge_left[edges], edge_right[edges]
+        values = np.concatenate([vertex_logs[vertices], edge_logs[edges]])
+        log_estimates = np.empty(len(masks), dtype=np.float64)
+        chunk = fold_chunk_rows(len(values))
+        for start in range(0, len(masks), chunk):
+            block = bit_matrix(masks[start:start + chunk])
+            selected = np.concatenate(
+                [block[:, vertices], block[:, left] & block[:, right]], axis=1)
+            log_estimates[start:start + chunk] = fold_log_terms(selected, values)
+        cache = self._cache
+        for mask, log_estimate in zip(masks, log_estimates.tolist()):
+            cache[mask] = self.from_log10(log_estimate)
 
     def _fold_steps_for_spec(self, spec):
         """The scope's log-fold schedule: ``(log10 terms, selector column)``.
@@ -242,20 +381,8 @@ class CardinalityEstimator:
         if not keep.all():
             values = values[keep]
             selectors = selectors[keep]
-        n_steps = len(values)
-        value_list = values.tolist()
-        selected = np.ones((len(rows), n_steps), dtype=bool)
-        for word in range(rows.shape[1]):
-            sel_word = selectors[:, word]
-            if not sel_word.any():
-                continue
-            selected &= ((rows[:, word][:, None] & sel_word[None, :])
-                         == sel_word[None, :])
-        acc = np.zeros(len(rows), dtype=np.float64)
-        for step in range(n_steps):
-            acc = np.where(selected[:, step], acc + value_list[step], acc)
-        estimates = [self.from_log10(log_estimate)
-                     for log_estimate in acc.tolist()]
+        estimates = [self.from_log10(log_estimate) for log_estimate
+                     in fold_packed_terms(rows, selectors, values).tolist()]
         cache = self._cache
         for mask, estimate in zip(wb.unpack(rows, spec), estimates):
             cache[mask] = estimate
@@ -279,6 +406,13 @@ class CardinalityEstimator:
         return selectivity
 
     def invalidate(self) -> None:
-        """Drop the memoised estimates (used after mutating selectivities)."""
+        """Drop the memoised estimates and fold schedules.
+
+        Runs by itself on the next estimate after an edit of the graph's
+        edge set (:attr:`JoinGraph.edit_count`); call it by hand after
+        changing base cardinalities in place.
+        """
         self._cache.clear()
         self._fold_steps.clear()
+        self._log_columns = None
+        self._graph_edits = self.graph.edit_count

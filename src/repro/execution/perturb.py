@@ -80,6 +80,8 @@ class PerturbedEstimator(CardinalityEstimator):
         # datasets must see the catalog's statistics unmodified.
         if self.q == 1.0 or relations & (relations - 1) == 0:
             return true_rows
+        if self._graph_edits != self.graph.edit_count:
+            self.invalidate()
         cached = self._cache.get(relations)
         if cached is not None:
             return cached

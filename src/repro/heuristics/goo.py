@@ -10,11 +10,15 @@ all IDP2 variants, we use GOO for the heuristic step").
 The implementation runs in ``O(E log E)`` by keeping the candidate joins in a
 heap keyed on estimated output cardinality and lazily discarding entries that
 became stale after a merge, so it comfortably handles the 1000-relation
-queries of Table 1.  With ``backend != "scalar"`` the initial min-edge scan
-(one pair estimate per join edge) is gathered as a batch through
-:func:`~repro.exec.heuristic_kernels.pair_rows`; the greedy merge itself is
-inherently sequential, so plans are bit-identical across backends by
-construction.
+queries of Table 1.  With ``backend != "scalar"`` two estimate loops run
+as batches: the initial min-edge scan (one pair estimate per join edge,
+through :func:`~repro.exec.heuristic_kernels.pair_rows`) and, after every
+merge, the refresh of the merged group's candidates against each
+neighbouring group (one :meth:`~repro.core.query.QueryInfo.rows_batch`
+call, an exact vectorized fold of the scalar log-space sum).  The batches
+are pushed in the scalar loop's order with the same tie-breakers, and the
+greedy merge itself is inherently sequential, so plans are bit-identical
+across backends.
 """
 
 from __future__ import annotations
@@ -110,12 +114,20 @@ class GOO(HeuristicBackendMixin, JoinOrderOptimizer):
             remaining -= 1
             # Push refreshed candidates for every edge leaving the merged group.
             neighbours = graph.neighbours_of_set(merged_mask) & subset
+            targets: List[int] = []
+            masks: List[int] = []
             for neighbour in bms.iter_bits(neighbours):
                 neighbour_root = find(neighbour)
                 if neighbour_root == left_root:
                     continue
                 neighbour_mask, _ = groups[neighbour_root]
-                candidate_rows = query.rows(merged_mask | neighbour_mask)
+                targets.append(neighbour)
+                masks.append(merged_mask | neighbour_mask)
+            if self._use_heuristic_kernels(len(masks)):
+                refreshed = query.rows_batch(masks).tolist()
+            else:
+                refreshed = [query.rows(mask) for mask in masks]
+            for neighbour, candidate_rows in zip(targets, refreshed):
                 heapq.heappush(heap, (candidate_rows, counter, left_vertex, neighbour))
                 counter += 1
 

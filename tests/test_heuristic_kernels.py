@@ -9,8 +9,12 @@ with targeted unit coverage:
 * the batched heuristic kernels — ``lindp_merge``'s interval DP,
   ``greedy_union_partition``'s union rounds and ``pair_rows`` against
   their scalar reference loops;
-* the vectorized log-space cardinality fold (``rows_batch`` on contracted
-  queries) — exact equality with the scalar estimator walk;
+* the vectorized log-space cardinality folds (``rows_batch`` on contracted
+  queries and the full-width fold of ordinary ones) — bit-for-bit equality
+  with the scalar estimator walk, the shared memo, ``rows()`` overrides,
+  and the memo following graph edits;
+* GOO's batched candidate refresh — identical plans, costs and stats
+  across backends, and its perf-smoke floor;
 * driver plumbing — one shared inner exact optimizer per driver (never one
   per fragment), bounded ``EnumerationContext.of`` traffic, backend knob
   validation;
@@ -19,15 +23,24 @@ with targeted unit coverage:
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import struct
+import time
 
+import numpy as np
 import pytest
 
 from repro.core import bitmapset as bms
+from repro.core import widebitmap as wb
 from repro.core.enumeration import EnumerationContext
+from repro.core.joingraph import JoinGraph
+from repro.core.query import QueryInfo
 from repro.core.unionfind import UnionFind
+from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.cout import CoutCostModel
 from repro.exec import greedy_union_partition, lindp_merge, pair_rows
+from repro.execution.perturb import PerturbedEstimator, perturbed_query
 from repro.heuristics import GOO, IDP1, IDP2, AdaptiveLinDP, LinearizedDP, UnionDP
 from repro.heuristics.common import optimize_fragment
 from repro.heuristics.ikkbz import IKKBZ
@@ -35,6 +48,7 @@ from repro.optimizers.mpdp import MPDP
 from repro.workloads import (
     chain_query,
     clique_query,
+    cycle_query,
     random_connected_query,
     scaled_musicbrainz_query,
     snowflake_query,
@@ -261,6 +275,267 @@ class TestCardinalityFold:
         batched = contracted.rows_batch(masks)
         for estimate, mask in zip(batched, masks):
             assert float(estimate) == contracted.rows(mask)
+
+
+class TestFullWidthFold:
+    """rows_batch without a spec: the exact full-width fold == rows(),
+    bit for bit, and the memo it leaves == the one rows() leaves."""
+
+    WIDTHS = (1, 2, 3, 7, 31, 63, 64, 65, 127, 128, 129, 300, 1000)
+
+    @staticmethod
+    def _query(n, seed=0):
+        return random_connected_query(
+            n, extra_edge_probability=min(0.2, 4.0 / n), seed=seed)
+
+    @staticmethod
+    def _unclamped_query(n, seed=0):
+        """Terms of mixed sign and size near 1, so that even dense sets on
+        1000 relations keep their log sum far from both clamps and any
+        change to the addition order shows in the last bits."""
+        rng = random.Random(seed)
+        graph = JoinGraph(n)
+        for vertex in range(1, n):
+            graph.add_edge(rng.randrange(vertex), vertex,
+                           selectivity=10 ** rng.uniform(-0.6, 0.0))
+        for _ in range(2 * n):
+            left, right = rng.randrange(n), rng.randrange(n)
+            if left != right:
+                graph.add_edge(left, right,
+                               selectivity=10 ** rng.uniform(-0.6, 0.0))
+        base = [10 ** rng.uniform(0.0, 1.0) for _ in range(n)]
+        return QueryInfo(graph, cardinality=CardinalityEstimator(
+            graph, base, min_rows=1e-300))
+
+    @staticmethod
+    def _fresh(query):
+        return CardinalityEstimator(query.graph,
+                                    query.cardinality.base_cardinalities,
+                                    min_rows=query.cardinality.min_rows)
+
+    @staticmethod
+    def _masks(query, count, seed):
+        """Dense and sparse random sets, singletons, edge pairs, non-edge
+        pairs and connected fragments, with duplicates."""
+        n = query.n_relations
+        rng = random.Random(seed)
+        masks = [rng.randrange(1, 1 << n) for _ in range(count)]
+        for _ in range(count):
+            mask = 0
+            while mask == 0:
+                mask = sum(1 << v for v in range(n) if rng.random() < 4.0 / n)
+            masks.append(mask)
+        masks += [bms.bit(rng.randrange(n)) for _ in range(count // 4)]
+        masks += [edge.mask for edge in query.graph.edges[:count // 4]]
+        if n > 2:
+            masks += [bms.bit(0) | bms.bit(rng.randrange(1, n))
+                      for _ in range(count // 4)]
+        masks += [connected_fragment(query, size, start=rng.randrange(n))
+                  for size in (2, 5, 40)]
+        return masks + masks[:count // 2]
+
+    @staticmethod
+    def _bits(value):
+        return struct.pack("d", float(value))
+
+    @pytest.mark.parametrize("unclamped", (False, True))
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_fold_matches_scalar_rows_bit_for_bit(self, n, unclamped):
+        query = (self._unclamped_query if unclamped else self._query)(n, seed=n)
+        masks = self._masks(query, 60, seed=n)
+        batched, scalar = self._fresh(query), self._fresh(query)
+        estimates = batched.rows_batch(masks)
+        assert estimates.dtype == np.float64 and len(estimates) == len(masks)
+        for estimate, mask in zip(estimates, masks):
+            assert self._bits(estimate) == self._bits(scalar.rows(mask)), \
+                bin(mask)
+        assert batched._cache.keys() == scalar._cache.keys()
+        for mask, estimate in scalar._cache.items():
+            assert self._bits(batched._cache[mask]) == self._bits(estimate)
+
+    @pytest.mark.parametrize("n", (5, 64, 300))
+    def test_packed_identity_column_matches_list_input(self, n):
+        query = self._query(n, seed=1)
+        masks = self._masks(query, 40, seed=2)
+        column = wb.pack(masks, wb.words_for(n))
+        from_list = self._fresh(query).rows_batch(masks)
+        from_column = self._fresh(query).rows_batch(column, wb.words_for(n))
+        assert [self._bits(v) for v in from_list] == \
+            [self._bits(v) for v in from_column]
+
+    def test_small_sets_duplicates_and_memo_hits(self, monkeypatch):
+        query = self._query(90, seed=5)
+        estimator = self._fresh(query)
+        edge = query.graph.edges[3]
+        single, pair, wide = bms.bit(7), edge.mask, (1 << 90) - 1
+        memoised = bms.bit(11) | bms.bit(12) | bms.bit(40)
+        estimator.rows(memoised)
+        folded = []
+        original = CardinalityEstimator._fold_masks
+
+        def recording(self, masks):
+            folded.extend(masks)
+            return original(self, masks)
+
+        monkeypatch.setattr(CardinalityEstimator, "_fold_masks", recording)
+        masks = [single, pair, memoised, pair, wide, single, memoised]
+        estimates = estimator.rows_batch(masks)
+        # Each distinct miss is folded once; memo hits are not re-folded.
+        assert sorted(folded) == sorted({single, pair, wide})
+        reference = self._fresh(query)
+        assert [self._bits(v) for v in estimates] == \
+            [self._bits(reference.rows(mask)) for mask in masks]
+        folded.clear()
+        estimator.rows_batch(masks)
+        assert folded == []
+
+    def test_empty_batch_and_empty_set(self):
+        estimator = self._fresh(self._query(10))
+        assert len(estimator.rows_batch([])) == 0
+        with pytest.raises(ValueError):
+            estimator.rows_batch([0b11, 0])
+
+    def test_perturbed_estimator_sees_every_set_through_rows(
+            self, monkeypatch):
+        query = self._query(70, seed=6)
+        perturbed = PerturbedEstimator(query.cardinality, q=4.0, seed=3)
+        seen = []
+        original_rows = perturbed.rows
+
+        def recording_rows(mask):
+            seen.append(mask)
+            return original_rows(mask)
+
+        def no_fold(self, masks):
+            raise AssertionError("the fold bypassed a rows() override")
+
+        monkeypatch.setattr(perturbed, "rows", recording_rows)
+        monkeypatch.setattr(CardinalityEstimator, "_fold_masks", no_fold)
+        masks = self._masks(query, 30, seed=7)
+        estimates = perturbed.rows_batch(masks)
+        assert sorted(seen) == sorted(set(masks))
+        reference = PerturbedEstimator(query.cardinality, q=4.0, seed=3)
+        assert estimates.tolist() == [reference.rows(mask) for mask in masks]
+
+    def test_perturbed_estimator_on_scoped_fragment_runs(self):
+        """Regression: with a rows() override, a packed column carrying a
+        remap spec must be unpacked through that spec before rows()."""
+        results = {}
+        for backend in ("scalar", "vectorized"):
+            query = perturbed_query(snowflake_query(70, seed=2), 4.0, seed=1)
+            results[backend] = IDP2(k=10, backend=backend,
+                                    max_iterations=1).optimize(query)
+        assert_results_identical(results["scalar"], results["vectorized"])
+
+
+class TestEstimatorFollowsGraphEdits:
+    """The memo and fold columns are dropped when the graph's edges change."""
+
+    def test_new_edge(self):
+        query = chain_query(4, seed=1)
+        mask = 0b1101
+        stale = query.rows(mask)
+        assert query.rows_batch([mask]).tolist() == [stale]
+        query.graph.add_edge(0, 2, selectivity=0.001)
+        fresh = CardinalityEstimator(query.graph,
+                                     query.cardinality.base_cardinalities)
+        assert query.rows(mask) == fresh.rows(mask) != stale
+        assert query.rows_batch([mask, 0b0111]).tolist() == \
+            [fresh.rows(mask), fresh.rows(0b0111)]
+
+    def test_merged_predicate(self):
+        query = chain_query(4, seed=1)
+        mask = 0b0111
+        stale_batch = query.rows_batch([mask]).tolist()
+        stale = query.rows(0b0011)
+        edge = query.graph.edge_between(0, 1)
+        query.graph.add_edge(0, 1, selectivity=edge.selectivity / 100.0)
+        fresh = CardinalityEstimator(query.graph,
+                                     query.cardinality.base_cardinalities)
+        assert query.rows(0b0011) == fresh.rows(0b0011) != stale
+        assert query.rows_batch([mask]).tolist() == [fresh.rows(mask)] \
+            != stale_batch
+
+    def test_perturbed_estimator_memo(self):
+        query = chain_query(4, seed=1)
+        perturbed = PerturbedEstimator(query.cardinality, q=2.0, seed=1)
+        stale = perturbed.rows(0b1101)
+        query.graph.add_edge(0, 2, selectivity=0.001)
+        fresh = PerturbedEstimator(
+            CardinalityEstimator(query.graph,
+                                 query.cardinality.base_cardinalities),
+            q=2.0, seed=1)
+        assert perturbed.rows(0b1101) == fresh.rows(0b1101) != stale
+
+
+# --------------------------------------------------------------------- #
+# GOO: the batched candidate refresh
+# --------------------------------------------------------------------- #
+BACKENDS = ("scalar", "vectorized", "auto")
+
+
+def assert_goo_identical(reference, other, context=""):
+    assert other.cost == reference.cost, context
+    assert other.plan == reference.plan, context
+    assert repr(other.plan) == repr(reference.plan), context
+    assert dataclasses.replace(other.stats, wall_time_seconds=0.0) == \
+        dataclasses.replace(reference.stats, wall_time_seconds=0.0), context
+
+
+class TestGOOBackends:
+    @pytest.mark.parametrize("make_query", [
+        snowflake_query, star_query, chain_query, cycle_query])
+    @pytest.mark.parametrize("n", (20, 65, 305))
+    def test_plan_cost_and_stats_identical(self, make_query, n):
+        results = {backend: GOO(backend=backend).optimize(make_query(n, seed=2))
+                   for backend in BACKENDS}
+        for backend in BACKENDS[1:]:
+            assert_goo_identical(results["scalar"], results[backend],
+                                 f"{make_query.__name__}-{n} {backend}")
+
+    def test_contracted_queries_from_idp2(self):
+        """GOO runs on each contracted query IDP2 builds; every one of those
+        runs is identical across backends."""
+        runs = {}
+        for backend in BACKENDS:
+            calls = []
+
+            class RecordingGOO(GOO):
+                def optimize(self, query, subset=None):
+                    result = super().optimize(query, subset)
+                    calls.append((query.is_contracted, query.n_relations,
+                                  result))
+                    return result
+
+            IDP2(k=10, backend=backend,
+                 initial_heuristic=RecordingGOO(backend=backend)).optimize(
+                     snowflake_query(120, seed=4))
+            runs[backend] = calls
+        scalar = runs["scalar"]
+        assert sum(contracted for contracted, _, _ in scalar) >= 5
+        for backend in BACKENDS[1:]:
+            assert [shape[:2] for shape in runs[backend]] == \
+                [shape[:2] for shape in scalar]
+            for index, ((_, n, reference), (_, _, other)) in enumerate(
+                    zip(scalar, runs[backend])):
+                assert_goo_identical(reference, other,
+                                     f"iteration {index} n={n} {backend}")
+
+
+@pytest.mark.perf_smoke
+class TestGOOPerfSmoke:
+    def test_vectorized_refresh_beats_scalar_on_snowflake_305(self):
+        """The batched refresh runs GOO about 10x faster than the scalar
+        loop on a 305-relation snowflake (2-CPU x86 box); the floor is a
+        ratio, so a slow runner does not fail it."""
+        timings, results = {}, {}
+        for backend in ("scalar", "vectorized"):
+            query = snowflake_query(305, seed=3)
+            start = time.perf_counter()
+            results[backend] = GOO(backend=backend).optimize(query)
+            timings[backend] = time.perf_counter() - start
+        assert_goo_identical(results["scalar"], results["vectorized"])
+        assert timings["scalar"] / timings["vectorized"] >= 5.0
 
 
 # --------------------------------------------------------------------- #
